@@ -7,8 +7,11 @@
 set -euo pipefail
 root=$(pwd)
 out="$root/.bench_build"
-mkdir -p "$out/gocache" "$out/tmp"
-export GOCACHE="$out/gocache" GOTMPDIR="$out/tmp" TMPDIR="$out/tmp"
-export GOTOOLCHAIN=local GOFLAGS=-mod=mod GOWORK=off GOPROXY=off
+mkdir -p "$out/gocache" "$out/gopath" "$out/config" "$out/tmp"
+# Keep the toolchain's caches, module path and config (telemetry included)
+# inside the checkout, and never reach for the network.
+export GOCACHE="$out/gocache" GOPATH="$out/gopath" XDG_CONFIG_HOME="$out/config"
+export GOTMPDIR="$out/tmp" TMPDIR="$out/tmp"
+export GOENV=off GOTOOLCHAIN=local GOFLAGS=-mod=mod GOWORK=off GOPROXY=off
 (cd "$root/perfbench" && go build -o "$out/perfbench" .)
 exec "$out/perfbench" --workdir "$out" "$@"
