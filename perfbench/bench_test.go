@@ -55,7 +55,7 @@ func (f *fakeSystem) op(_ context.Context, i int, rec *recorder) error {
 	return nil
 }
 
-func (f *fakeSystem) spendMicros() int64 { return 0 }
+func (f *fakeSystem) spendNanos() int64 { return 0 }
 
 func (f *fakeSystem) finish(context.Context, *recorder) (map[string]any, error) {
 	f.closed.Add(1)
@@ -92,8 +92,34 @@ func TestFailedOpsAreCounted(t *testing.T) {
 	if got := res.Metrics["throughput_ops_s"].Value; got <= 0 {
 		t.Fatalf("throughput %v", got)
 	}
-	if n := sys.closed.Load(); n != setupRepeats {
-		t.Fatalf("system released %d times, want %d (every discarded set-up and the finish)", n, setupRepeats)
+	if detail.RefMS <= 0 || detail.Measured["throughput_ops_s"] <= 0 {
+		t.Fatalf("run without kernel samples or measured times: ref %v, measured %v", detail.RefMS, detail.Measured)
+	}
+	if n := int(sys.closed.Load()); n != len(detail.SetupS) {
+		t.Fatalf("system released %d times, want %d (every discarded set-up and the finish)", n, len(detail.SetupS))
+	}
+}
+
+func TestCalibratorScalesByLocalMedian(t *testing.T) {
+	c := &calibrator{}
+	if got := c.scale(3); got != 1 {
+		t.Fatalf("calibrator without samples scales by %v, want 1", got)
+	}
+	for i := 0; i < 20; i++ {
+		c.samples = append(c.samples, refNominalMS)
+	}
+	for i := 0; i < 20; i++ {
+		c.samples = append(c.samples, 2*refNominalMS)
+	}
+	// Every sample around mark 5 is nominal, every one around mark 35 twice
+	// as slow; around mark 20 half are each, and the median lies between.
+	for _, tc := range []struct {
+		mark int
+		want float64
+	}{{5, 1}, {35, 0.5}, {20, 1 / 1.5}} {
+		if got := c.scale(tc.mark); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("scale(%d) = %v, want %v", tc.mark, got, tc.want)
+		}
 	}
 }
 
@@ -160,13 +186,13 @@ func TestCoveredUnionsOverlappingChildren(t *testing.T) {
 func runOps(t *testing.T, sys system, n int) (*recorder, int64) {
 	t.Helper()
 	ctx := context.Background()
-	rec := newRecorder()
+	rec := newRecorder(&calibrator{})
 	for i := 0; i < n; i++ {
 		if err := sys.op(withOp(ctx, i), i, rec); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
-	spend := sys.spendMicros()
+	spend := sys.spendNanos()
 	if _, err := sys.finish(ctx, rec); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +209,7 @@ func TestDecoratorsAreTransparent(t *testing.T) {
 		ops   int
 		plans int
 	}{
-		{"session-http", func(tr *tracer) (system, error) { return newSessionHTTP(cfg, tr, 1) }, 3, 3},
+		{"session-http", func(tr *tracer) (system, error) { return newSessionHTTP(context.Background(), cfg, tr, 1) }, 3, 3},
 		{"service-mix", func(tr *tracer) (system, error) {
 			return newServiceMix(context.Background(), cfg, tr, "chain:2,rows=300")
 		}, 12, 12},
@@ -209,9 +235,9 @@ func TestDecoratorsAreTransparent(t *testing.T) {
 				t.Errorf("plans differ with tracing: est %v vs %v, realized %v vs %v",
 					recs[0].est, recs[1].est, recs[0].realized, recs[1].realized)
 			}
-			if spends[0] != spends[1] || recs[0].purchasedMicros != recs[1].purchasedMicros {
-				t.Errorf("spend differs with tracing: %d vs %d µ$ (purchases %d vs %d)",
-					spends[0], spends[1], recs[0].purchasedMicros, recs[1].purchasedMicros)
+			if spends[0] != spends[1] || recs[0].purchasedNanos != recs[1].purchasedNanos {
+				t.Errorf("spend differs with tracing: %d vs %d n$ (purchases %d vs %d)",
+					spends[0], spends[1], recs[0].purchasedNanos, recs[1].purchasedNanos)
 			}
 			if len(recs[0].est) != c.plans {
 				t.Errorf("%d plans recorded, want %d", len(recs[0].est), c.plans)
@@ -237,9 +263,11 @@ func (m *misbilling) ExecuteProjection(ctx context.Context, q pricing.Query) (*r
 
 func TestConservationCheckFiresOnMisrecordedCharge(t *testing.T) {
 	cfg := runConfig{Seed: 3, WorkDir: t.TempDir()}
-	sys := newSearchTPCE(cfg, nil, 1)
+	sys, err := newSessionHTTP(context.Background(), cfg, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sys.mkt = &misbilling{Market: sys.mkt}
-	sys.buy = true
 	rec, _ := runOps(t, sys, 3)
 	var perOp, total bool
 	for _, p := range rec.problems {

@@ -193,3 +193,49 @@ func readProc() procSample {
 		gcPauseNs: ms.PauseTotalNs,
 	}
 }
+
+// memSampler samples the process's resident set (VmRSS) every interval
+// until stop is called.
+type memSampler struct {
+	stopc chan struct{}
+	done  chan struct{}
+	rss   []float64 // MB
+}
+
+func startMemSampler(interval time.Duration) *memSampler {
+	m := &memSampler{stopc: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(m.done)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			m.rss = append(m.rss, rssMB())
+			select {
+			case <-m.stopc:
+				return
+			case <-t.C:
+			}
+		}
+	}()
+	return m
+}
+
+// stop ends sampling and waits for the sampler to return.
+func (m *memSampler) stop() {
+	close(m.stopc)
+	<-m.done
+}
+
+// rssMB is the process's current resident set in MB.
+func rssMB() float64 {
+	data, err := os.ReadFile("/proc/self/statm")
+	if err != nil {
+		return 0
+	}
+	fields := strings.Fields(string(data))
+	if len(fields) < 2 {
+		return 0
+	}
+	pages, _ := strconv.ParseFloat(fields[1], 64)
+	return pages * float64(os.Getpagesize()) / (1 << 20)
+}

@@ -1,5 +1,5 @@
 // Command perfbench is the repository benchmark: it drives the DANCE stack
-// through four closed-loop shopper workloads and prints, as the last line of
+// through three closed-loop shopper workloads and prints, as the last line of
 // standard output, one JSON object with the end-to-end metrics (untraced run)
 // or the per-layer metrics (traced run). See README.md for every metric, the
 // layer → end-to-end mapping and why each workload exists.
@@ -39,7 +39,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		seconds = fs.Int("seconds", 10, "nominal length of the timed phase; scales the op count")
 		traced  = fs.Int("trace", 0, "1 = traced run reporting per-layer metrics, 0 = end-to-end metrics")
 		workDir = fs.String("workdir", ".bench_build", "scratch directory for journals and span dumps")
-		verbose = fs.Bool("v", false, "log every op's time and the process's peak RSS to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -62,7 +61,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Seconds: *seconds,
 		Trace:   *traced == 1,
 		WorkDir: *workDir,
-		Verbose: *verbose,
 	})
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,6 @@ type runConfig struct {
 	Seconds int
 	Trace   bool
 	WorkDir string
-	Verbose bool // log every op to stderr
 }
 
 // workload is one closed-loop traffic mix.
@@ -25,6 +25,8 @@ type workload struct {
 	name string
 	// clients is the number of closed-loop client goroutines.
 	clients int
+	// procs is the run's GOMAXPROCS; 0 keeps the default (nproc).
+	procs int
 	// ops is the number of shopper ops a run of the given nominal length
 	// makes. Runs are sized by op count, not wall time, so the same seed
 	// always runs the same ops.
@@ -45,8 +47,8 @@ type system interface {
 	// op runs shopper op i end to end, records its latencies, plans and
 	// purchases in rec, and checks its outputs.
 	op(ctx context.Context, i int, rec *recorder) error
-	// spendMicros is the marketplace's total charges so far.
-	spendMicros() int64
+	// spendNanos is the marketplace's total charges so far.
+	spendNanos() int64
 	// finish runs the end-of-run money checks and releases the system.
 	finish(ctx context.Context, rec *recorder) (map[string]any, error)
 	// close releases the system without checks.
@@ -56,70 +58,121 @@ type system interface {
 var workloads = map[string]workload{}
 
 func init() {
-	for _, w := range []workload{sessionHTTP, searchTPCE, serviceMix, executeLarge} {
+	for _, w := range []workload{sessionHTTP, serviceMix, executeLarge} {
 		workloads[w.name] = w
 	}
 }
 
-// setupRepeats is how many times a run sets its system up; setup_s is the
-// median and the last system serves the traffic.
-const setupRepeats = 5
+// A run sets its system up at least setupMinRepeats times and until the
+// set-ups took setupMinSeconds in all, but at most setupMaxRepeats times.
+// setup_s is the median; the last system serves the traffic. Short set-ups
+// thus repeat often enough that their median is not at the mercy of one
+// scheduler hiccup.
+const (
+	setupMinRepeats = 5
+	setupMinSeconds = 2.0
+	setupMaxRepeats = 200
+)
+
+// maxRunFactor caps the timed phase: no op starts after maxRunFactor ×
+// --seconds, so a host far slower than usual still ends the run in time.
+const maxRunFactor = 3
+
+// opAll is the recorder kind of every op's whole duration, failed or not.
+const opAll = "op"
 
 // Detail is the line printed before the result: what ran, where, and the
 // outcome figures a later comparison needs beside the metrics.
 type Detail struct {
-	Workload   string    `json:"workload"`
-	Seed       int64     `json:"seed"`
-	Trace      bool      `json:"trace"`
-	Clients    int       `json:"clients"`
-	Ops        int       `json:"ops"`
-	FailedFrac float64   `json:"failed_frac"`
-	SetupS     []float64 `json:"setup_s"`
-	ElapsedS   float64   `json:"elapsed_s"`
-	// WallClock holds the timed-phase metrics before steal normalization.
-	WallClock map[string]float64 `json:"wall_clock,omitempty"`
-	Env       Env                `json:"env"`
-	Checks    map[string]any     `json:"checks,omitempty"`
-	Problems  []string           `json:"problems,omitempty"`
-	SpansFile string             `json:"spans_file,omitempty"`
+	Workload   string  `json:"workload"`
+	Seed       int64   `json:"seed"`
+	Trace      bool    `json:"trace"`
+	Clients    int     `json:"clients"`
+	Ops        int     `json:"ops"`
+	FailedFrac float64 `json:"failed_frac"`
+	// SetupS is every set-up's time as measured.
+	SetupS   []float64 `json:"setup_s"`
+	ElapsedS float64   `json:"elapsed_s"`
+	// The metrics give times at the reference speed (calib.go). RefMS and
+	// RefSetupMS are the reference kernel's median times in the timed phase
+	// and in set-up; Measured holds the time metrics as measured.
+	RefNominalMS float64            `json:"ref_nominal_ms"`
+	RefMS        float64            `json:"ref_ms"`
+	RefSetupMS   float64            `json:"ref_setup_ms"`
+	Measured     map[string]float64 `json:"measured"`
+	// PeakRSSMB is the process's resident-set high-water mark (VmHWM).
+	PeakRSSMB float64        `json:"peak_rss_mb"`
+	Env       Env            `json:"env"`
+	Checks    map[string]any `json:"checks,omitempty"`
+	Problems  []string       `json:"problems,omitempty"`
+	SpansFile string         `json:"spans_file,omitempty"`
 }
 
 func runWorkload(ctx context.Context, w workload, cfg runConfig) (Result, Detail, error) {
 	name := w.name
+	if w.procs > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w.procs))
+	}
 	var tr *tracer
 	if cfg.Trace {
 		tr = newTracer()
 	}
+	setupCal, cal := &calibrator{}, &calibrator{}
 	detail := Detail{Workload: name, Seed: cfg.Seed, Trace: cfg.Trace, Clients: w.clients}
 
 	var sys system
-	for k := 0; k < setupRepeats; k++ {
+	var marks []int // each set-up's calibration mark
+	total := 0.0
+	for k := 0; k < setupMaxRepeats && (k < setupMinRepeats || total < setupMinSeconds); k++ {
 		if sys != nil {
 			sys.close()
 		}
+		// Every set-up starts from a collected heap, so none pays for the
+		// garbage of the one before.
+		runtime.GC()
+		for j := 0; j < 2; j++ {
+			setupCal.sample()
+		}
+		marks = append(marks, setupCal.mark())
 		start := time.Now()
 		s, err := w.setup(ctx, cfg, tr)
 		if err != nil {
 			return Result{}, detail, fmt.Errorf("setup: %w", err)
 		}
-		detail.SetupS = append(detail.SetupS, time.Since(start).Seconds())
+		d := time.Since(start).Seconds()
+		detail.SetupS = append(detail.SetupS, d)
+		total += d
 		sys = s
 	}
+	for j := 0; j < 2; j++ {
+		setupCal.sample()
+	}
+	setupScaled := make([]float64, len(detail.SetupS))
+	for i, d := range detail.SetupS {
+		setupScaled[i] = d * setupCal.scale(marks[i])
+	}
 	tr.reset()
+	runtime.GC()
+	// The first and last ops get kernel samples on both sides.
+	for j := 0; j < refWindow; j++ {
+		cal.sample()
+	}
 
 	n := w.ops(cfg.Seconds)
-	rec := newRecorder()
-	spend0 := sys.spendMicros()
+	rec := newRecorder(cal)
+	spend0 := sys.spendNanos()
 	p0 := readProc()
 	cpu0 := readCPU()
+	mem := startMemSampler(20 * time.Millisecond)
 	start := time.Now()
+	deadline := start.Add(time.Duration(maxRunFactor*cfg.Seconds) * time.Second)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for c := 0; c < w.clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ctx.Err() == nil {
+			for ctx.Err() == nil && time.Now().Before(deadline) {
 				i := int(next.Add(1) - 1)
 				if i >= n {
 					return
@@ -128,24 +181,27 @@ func runWorkload(ctx context.Context, w workload, cfg runConfig) (Result, Detail
 				opCtx, end := tr.begin(withOp(ctx, i), "op")
 				t := time.Now()
 				err := sys.op(opCtx, i, rec)
+				rec.observe(opAll, sinceMS(t))
 				end()
-				if cfg.Verbose {
-					fmt.Fprintf(os.Stderr, "op %d: %.1f ms, peak RSS %.0f MB, err %v\n", i, sinceMS(t), peakRSSMB(), err)
-				}
 				if err != nil {
 					rec.fail(i, err)
 				}
+				cal.sampleDue()
 			}
 		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	mem.stop()
+	for j := 0; j < refWindow; j++ {
+		cal.sample()
+	}
 	if lc, ok := sys.(layerCounter); ok && tr != nil {
 		lc.countLayers(tr)
 	}
 	p1 := readProc()
 	cpu1 := readCPU()
-	spend1 := sys.spendMicros()
+	spend1 := sys.spendNanos()
 	if ctx.Err() != nil {
 		sys.close()
 		return Result{}, detail, ctx.Err()
@@ -157,19 +213,28 @@ func runWorkload(ctx context.Context, w workload, cfg runConfig) (Result, Detail
 	}
 
 	detail.Ops = n
+	detail.PeakRSSMB = peakRSSMB()
 	detail.ElapsedS = elapsed.Seconds()
 	stealAll, stealBusy := stealShares(cpu0, cpu1)
 	detail.Env = stampEnv(stealAll, stealBusy)
 	detail.Checks = checks
+	detail.RefNominalMS = refNominalMS
+	detail.RefMS = cal.medianMS()
+	detail.RefSetupMS = setupCal.medianMS()
+	detail.Measured = make(map[string]float64)
+	for k, m := range timeMetrics(rec, w.clients, false, detail.SetupS) {
+		detail.Measured[k] = m.Value
+	}
 	rec.mu.Lock()
-	defer rec.mu.Unlock()
 	detail.Problems = rec.problems
-	completed := rec.attempted - rec.failed
-	detail.FailedFrac = float64(rec.failed) / float64(max(rec.attempted, 1))
+	attempted, failed := rec.attempted, rec.failed
+	rec.mu.Unlock()
+	completed := attempted - failed
+	detail.FailedFrac = float64(failed) / float64(max(attempted, 1))
 	res := Result{
-		Correct:   len(rec.problems) == 0,
-		Attempted: rec.attempted,
-		Failed:    rec.failed,
+		Correct:   len(detail.Problems) == 0,
+		Attempted: attempted,
+		Failed:    failed,
 		Metrics:   make(map[string]Metric),
 	}
 	if completed == 0 {
@@ -177,32 +242,20 @@ func runWorkload(ctx context.Context, w workload, cfg runConfig) (Result, Detail
 		return res, detail, nil
 	}
 	perOp := 1 / float64(completed)
-	// Timed-phase times are normalized to an unstolen CPU: the hypervisor
-	// took a share stealBusy of the CPU time the run wanted, which slows a
-	// busy thread by 1/(1-stealBusy). The wall-clock values go to the
-	// detail line.
-	unstolen := 1 - min(stealBusy, 0.9)
-	throughput := float64(completed) / elapsed.Seconds()
+	times := timeMetrics(rec, w.clients, true, setupScaled)
 	if !cfg.Trace {
 		m := res.Metrics
-		latencyMetrics("session", rec.latency[opSession], m)
-		latencyMetrics("acquire", rec.latency[opAcquire], m)
-		latencyMetrics("execute", rec.latency[opExecute], m)
-		detail.WallClock = map[string]float64{"throughput_ops_s": throughput}
-		for name, v := range m {
-			detail.WallClock[name] = v.Value
-			m[name] = Metric{v.Value * unstolen, v.Unit}
+		for k, v := range times {
+			m[k] = v
 		}
-		m["throughput_ops_s"] = Metric{throughput / unstolen, "ops/s"}
-		m["setup_s"] = Metric{median(detail.SetupS), "s"}
-		m["spend_usd_per_op"] = Metric{float64(spend1-spend0) / 1e6 * perOp, "usd"}
+		m["spend_usd_per_op"] = Metric{float64(spend1-spend0) / 1e9 * perOp, "usd"}
 		if len(rec.est) > 0 {
 			m["est_corr"] = Metric{meanByOp(rec.est), "bits"}
 		}
 		if len(rec.realized) > 0 {
 			m["realized_corr"] = Metric{meanByOp(rec.realized), "bits"}
 		}
-		m["peak_rss_mb"] = Metric{peakRSSMB(), "MB"}
+		m["rss_p50_mb"] = Metric{percentile(mem.rss, 0.5), "MB"}
 		return res, detail, nil
 	}
 
@@ -211,14 +264,37 @@ func runWorkload(ctx context.Context, w workload, cfg runConfig) (Result, Detail
 		return res, detail, err
 	}
 	detail.SpansFile = path
-	res.Metrics = layerMetrics(spans, counts, perOp, throughput/unstolen, p0, p1, rec)
+	res.Metrics = layerMetrics(spans, counts, perOp, times["throughput_ops_s"].Value, p0, p1)
 	return res, detail, nil
+}
+
+// timeMetrics derives the latency, throughput and set-up metrics of a run,
+// scaled to the reference speed or as measured. Throughput is completed ops
+// over the time the clients spent in ops: clients / the mean op time, which
+// leaves out the reference kernel's time between ops.
+func timeMetrics(rec *recorder, clients int, scaled bool, setupS []float64) map[string]Metric {
+	m := make(map[string]Metric)
+	latencyMetrics("session", rec.times(opSession, scaled), m)
+	latencyMetrics("acquire", rec.times(opAcquire, scaled), m)
+	latencyMetrics("execute", rec.times(opExecute, scaled), m)
+	busy := 0.0
+	for _, v := range rec.times(opAll, scaled) {
+		busy += v
+	}
+	rec.mu.Lock()
+	completed := rec.attempted - rec.failed
+	rec.mu.Unlock()
+	if busy > 0 {
+		m["throughput_ops_s"] = Metric{float64(completed) * float64(clients) / (busy / 1000), "ops/s"}
+	}
+	m["setup_s"] = Metric{median(setupS), "s"}
+	return m
 }
 
 // layerMetrics derives the per-layer metrics of a traced run. Times and
 // counts are per completed op; every per-layer name is present, 0 where the
 // workload does not reach the layer.
-func layerMetrics(spans []span, counts map[string]float64, perOp, throughput float64, p0, p1 procSample, rec *recorder) map[string]Metric {
+func layerMetrics(spans []span, counts map[string]float64, perOp, throughput float64, p0, p1 procSample) map[string]Metric {
 	m := make(map[string]Metric)
 	put := func(name, unit string, v float64) { m[name] = Metric{v, unit} }
 	for _, call := range []string{"catalog", "dataset_fds", "quote", "sample", "sample_delta", "execute_projection"} {

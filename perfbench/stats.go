@@ -61,8 +61,10 @@ const (
 // recorder collects the shopper-side observations of a run. It is shared by
 // the client goroutines.
 type recorder struct {
-	mu        sync.Mutex
-	latency   map[string][]float64 // op kind → ms, in completion order
+	mu sync.Mutex
+	// cal holds the timed phase's reference kernel samples.
+	cal       *calibrator
+	latency   map[string][]timing // op kind → latencies, in completion order
 	attempted int
 	failed    int
 	problems  []string // failed output or money checks
@@ -70,24 +72,48 @@ type recorder struct {
 	// means do not depend on completion order.
 	est      map[int]float64
 	realized map[int]float64
-	// sampledMicros and purchasedMicros sum the sample spend and the
+	// sampledNanos and purchasedNanos sum the sample spend and the
 	// Purchase.TotalPrice the harness saw.
-	sampledMicros   int64
-	purchasedMicros int64
+	sampledNanos   int64
+	purchasedNanos int64
 }
 
-func newRecorder() *recorder {
+// timing is one measured time and the calibration mark it was taken at.
+type timing struct {
+	ms   float64
+	mark int
+}
+
+func newRecorder(cal *calibrator) *recorder {
 	return &recorder{
-		latency:  make(map[string][]float64),
+		cal:      cal,
+		latency:  make(map[string][]timing),
 		est:      make(map[int]float64),
 		realized: make(map[int]float64),
 	}
 }
 
+// observe records a latency of op kind, in ms.
 func (r *recorder) observe(kind string, ms float64) {
+	mark := r.cal.mark()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.latency[kind] = append(r.latency[kind], ms)
+	r.latency[kind] = append(r.latency[kind], timing{ms, mark})
+}
+
+// times returns the latencies of op kind, at the reference speed when scaled
+// is set and as measured otherwise. Call it once the clients have stopped.
+func (r *recorder) times(kind string, scaled bool) []float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]float64, len(r.latency[kind]))
+	for i, t := range r.latency[kind] {
+		out[i] = t.ms
+		if scaled {
+			out[i] *= r.cal.scale(t.mark)
+		}
+	}
+	return out
 }
 
 // attempt counts one started op.
@@ -137,14 +163,14 @@ func (r *recorder) purchase(op int, totalPrice, realized float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.realized[op] = realized
-	r.purchasedMicros += micros(totalPrice)
+	r.purchasedNanos += nanos(totalPrice)
 }
 
 // sampled records sample spend a middleware reported.
 func (r *recorder) sampled(usd float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.sampledMicros += micros(usd)
+	r.sampledNanos += nanos(usd)
 }
 
 // meanByOp averages per-op values in op-index order.
@@ -161,15 +187,15 @@ func meanByOp(m map[int]float64) float64 {
 	return sum / float64(len(ops))
 }
 
-// micros rounds a dollar amount to integer micro-dollars. Sums of micros do
+// nanos rounds a dollar amount to integer nano-dollars. Sums of nanos do
 // not depend on the order the charges were added in.
-func micros(usd float64) int64 { return int64(math.Round(usd * 1e6)) }
+func nanos(usd float64) int64 { return int64(math.Round(usd * 1e9)) }
 
-// sameCents reports whether two micro-dollar totals agree to the cent.
+// sameCents reports whether two nano-dollar totals agree to the cent.
 func sameCents(a, b int64) bool {
 	d := a - b
 	if d < 0 {
 		d = -d
 	}
-	return d < 5000
+	return d < 5_000_000
 }

@@ -15,6 +15,7 @@ import (
 	dance "github.com/dance-db/dance"
 	"github.com/dance-db/dance/internal/core"
 	"github.com/dance-db/dance/internal/experiments"
+	"github.com/dance-db/dance/internal/joingraph"
 	"github.com/dance-db/dance/internal/marketplace"
 	"github.com/dance-db/dance/internal/persist"
 	"github.com/dance-db/dance/internal/search"
@@ -76,46 +77,63 @@ func (s *server) close() {
 	<-s.done
 }
 
-// ledgerMicros sums marketplace charges in micro-dollars, split by kind.
-func ledgerMicros(entries []marketplace.LedgerEntry) (samples, queries int64) {
+// ledgerNanos sums marketplace charges in nano-dollars, split by kind.
+func ledgerNanos(entries []marketplace.LedgerEntry) (samples, queries int64) {
 	for _, e := range entries {
 		if e.Kind == "query" {
-			queries += micros(e.Amount)
+			queries += nanos(e.Amount)
 		} else {
-			samples += micros(e.Amount)
+			samples += nanos(e.Amount)
 		}
 	}
 	return samples, queries
 }
 
 func marketSpend(m *marketplace.InMemory) int64 {
-	s, q := ledgerMicros(m.Ledger().Entries())
+	s, q := ledgerNanos(m.Ledger().Entries())
 	return s + q
+}
+
+// budgetRatio is the share of a query's upper-bound price a shopper offers,
+// as in the repository's experiments (the paper's budget ratio, Sec 6.1).
+const budgetRatio = 0.55
+
+// budgetFor is the budget a shopper offers for source → target on graph g:
+// budgetRatio × the dearest target graph's price, raised to 1.05 × the
+// cheapest one's where that is less, so that some plan is affordable and the
+// budget binds.
+func budgetFor(ctx context.Context, g *joingraph.Graph, source, target []string) (float64, error) {
+	req := search.Request{SourceAttrs: source, TargetAttrs: target}
+	lb, ub, err := search.NewSearcher(g).PriceRange(ctx, req, search.BruteForceLimits{})
+	if err != nil {
+		return 0, fmt.Errorf("price range %v → %v: %w", source, target, err)
+	}
+	return max(budgetRatio*ub, 1.05*lb), nil
 }
 
 // checkPlan checks a returned plan's estimates: within budget, finite.
 func checkPlan(rec *recorder, op int, est search.Metrics, budget float64) {
-	if budget > 0 && !(est.Price <= budget) {
-		rec.problem("op %d: plan price %v exceeds budget %v", op, est.Price, budget)
-	}
+	checkBudget(rec, op, "plan price", est.Price, budget)
 	rec.plan(op, est.Correlation)
 }
 
+// checkBudget checks that an amount the shopper pays is within budget.
+func checkBudget(rec *recorder, op int, what string, price, budget float64) {
+	if !(price <= budget) {
+		rec.problem("op %d: %s %v exceeds budget %v", op, what, price, budget)
+	}
+}
+
 // checkCharges checks that the marketplace ledger entries op caused match
-// what the middleware reported: sample spend and the purchase price (none
-// when p is nil).
+// what the middleware reported: sample spend and the purchase price.
 func checkCharges(rec *recorder, op int, entries []marketplace.LedgerEntry, sampleUSD float64, p *core.Purchase) {
-	samples, queries := ledgerMicros(entries)
-	if !sameCents(samples, micros(sampleUSD)) {
-		rec.problem("op %d: ledger sample charges %d µ$ but middleware reports %d µ$", op, samples, micros(sampleUSD))
+	samples, queries := ledgerNanos(entries)
+	if !sameCents(samples, nanos(sampleUSD)) {
+		rec.problem("op %d: ledger sample charges %d n$ but middleware reports %d n$", op, samples, nanos(sampleUSD))
 	}
-	var paid float64
-	if p != nil {
-		paid = p.TotalPrice
-		rec.purchase(op, p.TotalPrice, p.Realized.Correlation)
-	}
-	if !sameCents(queries, micros(paid)) {
-		rec.problem("op %d: ledger query charges %d µ$ but the purchase cost %d µ$", op, queries, micros(paid))
+	rec.purchase(op, p.TotalPrice, p.Realized.Correlation)
+	if !sameCents(queries, nanos(p.TotalPrice)) {
+		rec.problem("op %d: ledger query charges %d n$ but the purchase cost %d n$", op, queries, nanos(p.TotalPrice))
 	}
 }
 
@@ -131,7 +149,7 @@ type inProcess struct {
 	srv    *server
 }
 
-func (s *inProcess) spendMicros() int64 { return marketSpend(s.market) }
+func (s *inProcess) spendNanos() int64 { return marketSpend(s.market) }
 
 func (s *inProcess) close() { s.srv.close() }
 
@@ -169,15 +187,15 @@ func (s *inProcess) execute(ctx context.Context, mw *core.Dance, plan *core.Plan
 // finishInProcess checks end-of-run conservation: the marketplace ledger
 // equals the sample spend and purchases the harness observed.
 func (s *inProcess) finishInProcess(rec *recorder, sampledUSD float64) map[string]any {
-	market := s.spendMicros()
+	market := s.spendNanos()
 	rec.mu.Lock()
-	observed := micros(sampledUSD) + rec.sampledMicros + rec.purchasedMicros
+	observed := nanos(sampledUSD) + rec.sampledNanos + rec.purchasedNanos
 	rec.mu.Unlock()
 	if !sameCents(market, observed) {
-		rec.problem("conservation: marketplace ledger %d µ$, harness observed %d µ$", market, observed)
+		rec.problem("conservation: marketplace ledger %d n$, harness observed %d n$", market, observed)
 	}
 	s.close()
-	return map[string]any{"market_ledger_usd": float64(market) / 1e6, "observed_usd": float64(observed) / 1e6}
+	return map[string]any{"market_ledger_usd": float64(market) / 1e9, "observed_usd": float64(observed) / 1e9}
 }
 
 // sessionSystem runs back-to-back fresh shopper sessions: a new middleware
@@ -186,24 +204,24 @@ func (s *inProcess) finishInProcess(rec *recorder, sampledUSD float64) map[strin
 type sessionSystem struct {
 	inProcess
 	queries     []experiments.QuerySpec
-	rate        float64 // 0 = the middleware default
+	budgets     []float64 // per query
+	rate        float64
 	escalations int
 	iterations  int
-	budget      float64
-	// buy executes each session's plan after acquiring it.
-	buy bool
+	// probeSpend is what the set-up's probe session spent on samples.
+	probeSpend float64
 }
 
-func (s *sessionSystem) op(ctx context.Context, i int, rec *recorder) error {
-	before := len(s.market.Ledger().Entries())
-	start := time.Now()
+// session builds a fresh middleware and runs its offline phase and
+// escalation ladder.
+func (s *sessionSystem) session(ctx context.Context, sampleSeed int64) (*core.Dance, error) {
 	mw := core.New(s.mkt, core.Config{
 		SampleRate: s.rate,
-		SampleSeed: uint64(derive(s.seed, 1, i)),
-		Workers:    runtime.NumCPU(),
+		SampleSeed: uint64(sampleSeed),
+		Workers:    runtime.GOMAXPROCS(0),
 	})
 	if err := s.tr.core(ctx, "offline", mw.Offline); err != nil {
-		return fmt.Errorf("offline: %w", err)
+		return nil, fmt.Errorf("offline: %w", err)
 	}
 	for e := 0; e < s.escalations; e++ {
 		err := s.tr.core(ctx, "escalate", func(ctx context.Context) error {
@@ -211,39 +229,50 @@ func (s *sessionSystem) op(ctx context.Context, i int, rec *recorder) error {
 			return err
 		})
 		if err != nil {
-			return fmt.Errorf("escalate: %w", err)
+			return nil, fmt.Errorf("escalate: %w", err)
 		}
 	}
-	q := s.queries[i%len(s.queries)]
+	return mw, nil
+}
+
+func (s *sessionSystem) op(ctx context.Context, i int, rec *recorder) error {
+	before := len(s.market.Ledger().Entries())
+	start := time.Now()
+	mw, err := s.session(ctx, derive(s.seed, 1, i))
+	if err != nil {
+		return err
+	}
+	q := i % len(s.queries)
 	req := search.Request{
-		SourceAttrs: q.SourceAttrs,
-		TargetAttrs: q.TargetAttrs,
-		Budget:      s.budget,
+		SourceAttrs: s.queries[q].SourceAttrs,
+		TargetAttrs: s.queries[q].TargetAttrs,
+		Budget:      s.budgets[q],
 		Iterations:  s.iterations,
 		Seed:        derive(s.seed, 2, i),
-		Workers:     runtime.NumCPU(),
+		Workers:     runtime.GOMAXPROCS(0),
 	}
 	plan, err := s.acquire(ctx, mw, req, rec)
 	if err != nil {
 		return err
 	}
-	var p *core.Purchase
-	if s.buy {
-		if p, err = s.execute(ctx, mw, plan, rec); err != nil {
-			return err
-		}
+	p, err := s.execute(ctx, mw, plan, rec)
+	if err != nil {
+		return err
 	}
 	rec.observe(opSession, sinceMS(start))
 
 	s.tr.add("core.sample_rounds", float64(len(mw.SampleRounds())))
 	checkPlan(rec, i, plan.Est, req.Budget)
+	checkBudget(rec, i, "purchase price", p.TotalPrice, req.Budget)
 	checkCharges(rec, i, s.market.Ledger().Entries()[before:], mw.SampleCost(), p)
 	rec.sampled(mw.SampleCost())
 	return nil
 }
 
 func (s *sessionSystem) finish(_ context.Context, rec *recorder) (map[string]any, error) {
-	return s.finishInProcess(rec, 0), nil
+	checks := s.finishInProcess(rec, s.probeSpend)
+	checks["budget_usd"] = s.budgets
+	return checks, nil
 }
 
 // sessionHTTP: a TPC-H-like marketplace at scale 8 behind a loopback HTTP
@@ -253,13 +282,16 @@ func (s *sessionSystem) finish(_ context.Context, rec *recorder) (map[string]any
 var sessionHTTP = workload{
 	name:    "session-http",
 	clients: 1,
-	ops:     func(seconds int) int { return max(minTailSamples+20, 20*seconds) },
+	procs:   1,
+	ops:     func(seconds int) int { return max(minTailSamples+20, 22*seconds) },
 	setup: func(ctx context.Context, cfg runConfig, tr *tracer) (system, error) {
-		return newSessionHTTP(cfg, tr, 8)
+		return newSessionHTTP(ctx, cfg, tr, 8)
 	},
 }
 
-func newSessionHTTP(cfg runConfig, tr *tracer, scale int) (*sessionSystem, error) {
+// newSessionHTTP serves the marketplace and runs one probe session whose
+// join graph prices each query's budget.
+func newSessionHTTP(ctx context.Context, cfg runConfig, tr *tracer, scale int) (*sessionSystem, error) {
 	tables, fds := dance.GenerateTPCH(scale, dataSeed, -1)
 	market := marketplace.NewInMemory(pricingModel(tr))
 	for _, t := range tables {
@@ -271,41 +303,28 @@ func newSessionHTTP(cfg runConfig, tr *tracer, scale int) (*sessionSystem, error
 	}
 	client := marketplace.NewClient(srv.url)
 	client.HTTP = traceClient(client.HTTP, tr, "marketplace.http")
-	return &sessionSystem{
+	s := &sessionSystem{
 		inProcess:   inProcess{seed: cfg.Seed, tr: tr, market: market, mkt: traceMarket(client, tr), srv: srv},
 		queries:     experiments.TPCHQueries(),
 		rate:        0.05,
 		escalations: 3,
 		iterations:  20,
-		budget:      1e6,
-		buy:         true,
-	}, nil
-}
-
-// searchTPCE: the TPC-E-like marketplace at scale 10, in memory; fresh
-// sessions at the default rate run one acquire each, cycling the paper's
-// Q1–Q3, so search runs on cold caches.
-var searchTPCE = workload{
-	name:    "search-tpce",
-	clients: 1,
-	ops:     func(seconds int) int { return max(3*(minTailSamples+20)/2, 18*seconds) },
-	setup: func(ctx context.Context, cfg runConfig, tr *tracer) (system, error) {
-		return newSearchTPCE(cfg, tr, 10), nil
-	},
-}
-
-func newSearchTPCE(cfg runConfig, tr *tracer, scale int) *sessionSystem {
-	tables, fds := dance.GenerateTPCE(scale, dataSeed, -1)
-	market := marketplace.NewInMemory(pricingModel(tr))
-	for _, t := range tables {
-		market.Register(t, fds[t.Name])
 	}
-	return &sessionSystem{
-		inProcess:  inProcess{seed: cfg.Seed, tr: tr, market: market, mkt: traceMarket(market, tr)},
-		queries:    experiments.TPCEQueries(),
-		iterations: 80,
-		budget:     1e6,
+	probe, err := s.session(ctx, derive(cfg.Seed, 6))
+	if err != nil {
+		srv.close()
+		return nil, fmt.Errorf("probe session: %w", err)
 	}
+	s.probeSpend = probe.SampleCost()
+	for _, q := range s.queries {
+		b, err := budgetFor(ctx, probe.Graph(), q.SourceAttrs, q.TargetAttrs)
+		if err != nil {
+			srv.close()
+			return nil, err
+		}
+		s.budgets = append(s.budgets, b)
+	}
+	return s, nil
 }
 
 // warmSystem serves shopper ops from one middleware whose offline phase ran
@@ -313,11 +332,10 @@ func newSearchTPCE(cfg runConfig, tr *tracer, scale int) *sessionSystem {
 // executes the plan with the highest estimated correlation.
 type warmSystem struct {
 	inProcess
-	mw      *core.Dance
-	truth   synth.GroundTruth
-	budget  float64
-	iters   []int
-	sampled float64 // middleware sample spend before the timed phase
+	mw     *core.Dance
+	truth  synth.GroundTruth
+	budget float64
+	iters  []int
 }
 
 func (s *warmSystem) op(ctx context.Context, i int, rec *recorder) error {
@@ -332,7 +350,7 @@ func (s *warmSystem) op(ctx context.Context, i int, rec *recorder) error {
 			Budget:      s.budget,
 			Iterations:  iters,
 			Seed:        derive(s.seed, 3, i, k),
-			Workers:     runtime.NumCPU(),
+			Workers:     runtime.GOMAXPROCS(0),
 		}
 		plan, err := s.acquire(ctx, s.mw, req, rec)
 		if err != nil {
@@ -348,12 +366,15 @@ func (s *warmSystem) op(ctx context.Context, i int, rec *recorder) error {
 		return err
 	}
 	rec.observe(opSession, sinceMS(start))
+	checkBudget(rec, i, "purchase price", p.TotalPrice, s.budget)
 	checkCharges(rec, i, s.market.Ledger().Entries()[before:], s.mw.SampleCost()-spent, p)
 	return nil
 }
 
 func (s *warmSystem) finish(_ context.Context, rec *recorder) (map[string]any, error) {
-	return s.finishInProcess(rec, s.mw.SampleCost()), nil
+	checks := s.finishInProcess(rec, s.mw.SampleCost())
+	checks["budget_usd"] = s.budget
+	return checks, nil
 }
 
 // executeLarge: a synthetic snowflake listing set with a 10⁵-row base the
@@ -363,6 +384,7 @@ func (s *warmSystem) finish(_ context.Context, rec *recorder) (map[string]any, e
 var executeLarge = workload{
 	name:    "execute-large",
 	clients: 1,
+	procs:   1,
 	ops:     func(seconds int) int { return max(minTailSamples+10, 3*seconds) },
 	setup: func(ctx context.Context, cfg runConfig, tr *tracer) (system, error) {
 		return newExecuteLarge(ctx, cfg, tr, "snowflake:3,rows=100000,keys=400,classes=8")
@@ -383,16 +405,20 @@ func newExecuteLarge(ctx context.Context, cfg runConfig, tr *tracer, specStr str
 		market.Register(t, w.FDs[t.Name])
 	}
 	mkt := traceMarket(market, tr)
-	mw := core.New(mkt, core.Config{SampleSeed: dataSeed, Workers: runtime.NumCPU()})
+	mw := core.New(mkt, core.Config{SampleSeed: dataSeed, Workers: runtime.GOMAXPROCS(0)})
 	mw.AddSource(w.Base(), w.FDs[w.Base().Name])
 	if err := mw.Offline(ctx); err != nil {
+		return nil, err
+	}
+	budget, err := budgetFor(ctx, mw.Graph(), []string{w.Truth.X}, []string{w.Truth.Y})
+	if err != nil {
 		return nil, err
 	}
 	return &warmSystem{
 		inProcess: inProcess{seed: cfg.Seed, tr: tr, market: market, mkt: mkt},
 		mw:        mw,
 		truth:     w.Truth,
-		budget:    1e6,
+		budget:    budget,
 		iters:     []int{20, 40, 60, 80},
 	}, nil
 }
@@ -456,7 +482,7 @@ func (s *serviceSystem) op(ctx context.Context, i int, rec *recorder) error {
 		Budget:      s.budget,
 		Iterations:  v.iterations,
 		Seed:        v.seed,
-		Workers:     runtime.NumCPU(),
+		Workers:     runtime.GOMAXPROCS(0),
 		Policy:      v.policy,
 	}
 	start := time.Now()
@@ -507,6 +533,7 @@ func (s *serviceSystem) op(ctx context.Context, i int, rec *recorder) error {
 	s.tr.add("search.evals", float64(plan.Evals))
 	checkPlan(rec, i, search.Metrics{Correlation: plan.Est.Correlation, Price: plan.Est.Price}, s.budget)
 	if bought != nil {
+		checkBudget(rec, i, "purchase price", bought.TotalPrice, s.budget)
 		rec.purchase(i, bought.TotalPrice, bought.Realized.Correlation)
 		s.mu.Lock()
 		s.bought = append(s.bought, boughtPlan{op: i, queries: plan.Queries, totalPrice: bought.TotalPrice})
@@ -515,7 +542,7 @@ func (s *serviceSystem) op(ctx context.Context, i int, rec *recorder) error {
 	return nil
 }
 
-func (s *serviceSystem) spendMicros() int64 { return marketSpend(s.market) }
+func (s *serviceSystem) spendNanos() int64 { return marketSpend(s.market) }
 
 func (s *serviceSystem) countLayers(tr *tracer) {
 	st := s.svc.Stats()
@@ -569,7 +596,7 @@ func (s *serviceSystem) finish(ctx context.Context, rec *recorder) (map[string]a
 	}
 	var journal int64
 	for _, e := range state.Ledger {
-		journal += micros(e.Amount)
+		journal += nanos(e.Amount)
 	}
 
 	for _, b := range s.bought {
@@ -579,29 +606,30 @@ func (s *serviceSystem) finish(ctx context.Context, rec *recorder) (map[string]a
 			if err != nil {
 				return nil, fmt.Errorf("quote %s: %w", q.Instance, err)
 			}
-			quoted += micros(p)
+			quoted += nanos(p)
 		}
-		if !sameCents(quoted, micros(b.totalPrice)) {
-			rec.problem("op %d: purchase TotalPrice %v but its queries are quoted at %d µ$", b.op, b.totalPrice, quoted)
+		if !sameCents(quoted, nanos(b.totalPrice)) {
+			rec.problem("op %d: purchase TotalPrice %v but its queries are quoted at %d n$", b.op, b.totalPrice, quoted)
 		}
 	}
 
-	market := s.spendMicros()
+	market := s.spendNanos()
 	rec.mu.Lock()
-	observed := micros(s.mw.SampleCost()) + rec.purchasedMicros
+	observed := nanos(s.mw.SampleCost()) + rec.purchasedNanos
 	rec.mu.Unlock()
-	danced := micros(ledger.Total)
+	danced := nanos(ledger.Total)
 	for name, v := range map[string]int64{"danced ledger": danced, "journal reload": journal, "harness observed": observed} {
 		if !sameCents(market, v) {
-			rec.problem("conservation: marketplace ledger %d µ$, %s %d µ$", market, name, v)
+			rec.problem("conservation: marketplace ledger %d n$, %s %d n$", market, name, v)
 		}
 	}
 	return map[string]any{
-		"market_ledger_usd":  float64(market) / 1e6,
-		"danced_ledger_usd":  float64(danced) / 1e6,
-		"journal_ledger_usd": float64(journal) / 1e6,
-		"observed_usd":       float64(observed) / 1e6,
+		"market_ledger_usd":  float64(market) / 1e9,
+		"danced_ledger_usd":  float64(danced) / 1e9,
+		"journal_ledger_usd": float64(journal) / 1e9,
+		"observed_usd":       float64(observed) / 1e9,
 		"purchases_checked":  len(s.bought),
+		"budget_usd":         s.budget,
 	}, nil
 }
 
@@ -631,7 +659,7 @@ func newServiceMix(ctx context.Context, cfg runConfig, tr *tracer, specStr strin
 	for _, t := range w.Listings[1:] {
 		market.Register(t, w.FDs[t.Name])
 	}
-	s := &serviceSystem{seed: cfg.Seed, tr: tr, market: market, truth: w.Truth, budget: 1e6}
+	s := &serviceSystem{seed: cfg.Seed, tr: tr, market: market, truth: w.Truth}
 	if s.msrv, err = serve(marketplace.Handler(market)); err != nil {
 		return nil, err
 	}
@@ -650,7 +678,7 @@ func newServiceMix(ctx context.Context, cfg runConfig, tr *tracer, specStr strin
 	s.mw = core.New(traceMarket(mc, tr), core.Config{
 		SampleRate: 0.5,
 		SampleSeed: dataSeed,
-		Workers:    runtime.NumCPU(),
+		Workers:    runtime.GOMAXPROCS(0),
 		Persist:    store,
 	})
 	s.mw.AddSource(w.Base(), w.FDs[w.Base().Name])
@@ -665,6 +693,10 @@ func newServiceMix(ctx context.Context, cfg runConfig, tr *tracer, specStr strin
 		return nil, err
 	}
 	if err := s.mw.Offline(ctx); err != nil {
+		s.close()
+		return nil, err
+	}
+	if s.budget, err = budgetFor(ctx, s.mw.Graph(), []string{w.Truth.X}, []string{w.Truth.Y}); err != nil {
 		s.close()
 		return nil, err
 	}
