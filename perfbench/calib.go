@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Host-speed calibration.
@@ -21,7 +22,7 @@ import (
 // refNominalMS is about the reference kernel's median time on the host the
 // benchmark was built on (Intel Xeon, 2 vCPUs, 105 MB L3), so scaled times
 // read close to that host's wall-clock times.
-const refNominalMS = 2.5
+const refNominalMS = 3.0
 
 // refWindow is how many kernel samples on either side of a measurement set
 // its scale.
@@ -35,13 +36,15 @@ const refInterval = 100 * time.Millisecond
 // caches, like the joins and sample stores the workloads walk.
 var refBuf = make([]uint32, 1<<22)
 
-// refKernel times the reference kernel: a pseudo-random read-modify-write
-// walk over refBuf. The walk runs twice and only the second is timed: the
-// first brings refBuf back into the caches, so the time depends far less on
-// how much memory the program touched since the last sample. It allocates
+// refKernel times the reference kernel: refBuf is flushed from the caches
+// and then walked once in a pseudo-random read-modify-write order, so the
+// walk reads memory as the workloads' cache-missing joins do and its time
+// does not depend on what the program left in the caches. It allocates
 // nothing.
 func refKernel() time.Duration {
-	refWalk()
+	if canFlush {
+		flushLines(unsafe.Pointer(&refBuf[0]), len(refBuf)*4)
+	}
 	// A fresh time slice: the timed walk is not preempted for a garbage
 	// collector's mark worker or another goroutine.
 	runtime.Gosched()

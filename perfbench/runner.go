@@ -25,8 +25,6 @@ type workload struct {
 	name string
 	// clients is the number of closed-loop client goroutines.
 	clients int
-	// procs is the run's GOMAXPROCS; 0 keeps the default (nproc).
-	procs int
 	// ops is the number of shopper ops a run of the given nominal length
 	// makes. Runs are sized by op count, not wall time, so the same seed
 	// always runs the same ops.
@@ -110,9 +108,9 @@ type Detail struct {
 
 func runWorkload(ctx context.Context, w workload, cfg runConfig) (Result, Detail, error) {
 	name := w.name
-	if w.procs > 0 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w.procs))
-	}
+	// One processor: the program then slows with the host exactly as the
+	// single-threaded reference kernel does (see README.md).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var tr *tracer
 	if cfg.Trace {
 		tr = newTracer()

@@ -282,7 +282,6 @@ func (s *sessionSystem) finish(_ context.Context, rec *recorder) (map[string]any
 var sessionHTTP = workload{
 	name:    "session-http",
 	clients: 1,
-	procs:   1,
 	ops:     func(seconds int) int { return max(minTailSamples+20, 22*seconds) },
 	setup: func(ctx context.Context, cfg runConfig, tr *tracer) (system, error) {
 		return newSessionHTTP(ctx, cfg, tr, 8)
@@ -384,7 +383,6 @@ func (s *warmSystem) finish(_ context.Context, rec *recorder) (map[string]any, e
 var executeLarge = workload{
 	name:    "execute-large",
 	clients: 1,
-	procs:   1,
 	ops:     func(seconds int) int { return max(minTailSamples+10, 3*seconds) },
 	setup: func(ctx context.Context, cfg runConfig, tr *tracer) (system, error) {
 		return newExecuteLarge(ctx, cfg, tr, "snowflake:3,rows=100000,keys=400,classes=8")
