@@ -19,7 +19,6 @@ import (
 	"sync"
 
 	"github.com/dance-db/dance/internal/fd"
-	"github.com/dance-db/dance/internal/infotheory"
 	"github.com/dance-db/dance/internal/joingraph"
 	"github.com/dance-db/dance/internal/marketplace"
 	"github.com/dance-db/dance/internal/offline"
@@ -28,6 +27,7 @@ import (
 	"github.com/dance-db/dance/internal/policy"
 	"github.com/dance-db/dance/internal/pricing"
 	"github.com/dance-db/dance/internal/relation"
+	"github.com/dance-db/dance/internal/sampling"
 	"github.com/dance-db/dance/internal/search"
 )
 
@@ -819,8 +819,8 @@ type Purchase struct {
 	// Tables are the bought projections, in query order.
 	Tables []*relation.Table
 	// Joined is the equi-join of owned sources and purchases along the
-	// plan's target graph.
-	Joined *relation.Table
+	// plan's target graph, dictionary-encoded (ToTable decodes its rows).
+	Joined *relation.Columnar
 	// TotalPrice is the sum actually charged by the marketplace.
 	TotalPrice float64
 	// Realized are the metrics measured on the purchased (full) data:
@@ -914,48 +914,22 @@ func (d *Dance) ExecuteRecord(ctx context.Context, rec *PlanRecord) (*Purchase, 
 		bought[s.table.Name] = s.table
 	}
 	d.mu.Unlock()
-	full := make([]relation.PathStep, len(rec.Steps))
+	// Encode only the tables the plan joins; the join and its realized
+	// metrics run through the search's own join-and-measure routine.
+	steps := make([]sampling.ColumnarStep, len(rec.Steps))
 	for i, st := range rec.Steps {
 		bt, ok := bought[st.Table]
 		if !ok {
 			return p, fmt.Errorf("dance: plan references %q which was neither bought nor owned", st.Table)
 		}
-		full[i] = relation.PathStep{Table: bt, On: st.On}
+		steps[i] = sampling.ColumnarStep{C: relation.ToColumnar(bt), On: st.On}
 	}
-	joined, err := relation.JoinPath(full)
-	if err != nil {
-		return p, err
-	}
-	p.Joined = joined
-
-	// Realized metrics on the actual purchase.
-	x, y, err := corrAttrsOf(rec.Request)
+	x, y, err := rec.Request.CorrAttrs()
 	if err != nil {
 		return p, err
 	}
 	p.Realized.Weight = rec.Weight
 	p.Realized.Price = p.TotalPrice
-	if joined.NumRows() > 0 {
-		if p.Realized.Correlation, err = infotheory.Correlation(joined, x, y); err != nil {
-			return p, err
-		}
-		if p.Realized.Quality, err = fd.QualitySet(joined, rec.FDs); err != nil {
-			return p, err
-		}
-	}
-	return p, nil
-}
-
-// corrAttrsOf mirrors search.Request.corrAttrs for realized metrics.
-func corrAttrsOf(r search.Request) (x, y []string, err error) {
-	if len(r.TargetAttrs) == 0 {
-		return nil, nil, fmt.Errorf("dance: request has no target attributes")
-	}
-	if len(r.SourceAttrs) > 0 {
-		return r.SourceAttrs, r.TargetAttrs, nil
-	}
-	if len(r.TargetAttrs) < 2 {
-		return nil, nil, fmt.Errorf("dance: source-less request needs ≥ 2 target attributes")
-	}
-	return r.TargetAttrs[:1], r.TargetAttrs[1:], nil
+	p.Joined, p.Realized.Correlation, p.Realized.Quality, err = search.JoinMetrics(steps, sampling.PathJoinOptions{}, nil, x, y, rec.FDs)
+	return p, err
 }

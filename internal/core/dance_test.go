@@ -126,8 +126,8 @@ func TestAcquireProducesExecutablePlan(t *testing.T) {
 	if purchase.Joined.NumRows() == 0 {
 		t.Fatal("joined purchase is empty")
 	}
-	if !purchase.Joined.Schema.Has("xval") || !purchase.Joined.Schema.Has("yval") {
-		t.Fatalf("join misses requested attributes: %v", purchase.Joined.Schema.Names())
+	if !purchase.Joined.Schema().Has("xval") || !purchase.Joined.Schema().Has("yval") {
+		t.Fatalf("join misses requested attributes: %v", purchase.Joined.Schema().Names())
 	}
 	if purchase.Realized.Correlation <= 0 {
 		t.Fatalf("realized correlation = %v", purchase.Realized.Correlation)

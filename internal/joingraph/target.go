@@ -239,8 +239,10 @@ func (tg *TargetGraph) JoinPlan() ([]JoinHop, error) {
 	return hops, nil
 }
 
-// JoinSteps resolves JoinPlan to a join path over the instance samples. The
-// caller joins them with relation.JoinPath or sampling.ResampledJoinPath.
+// JoinSteps resolves JoinPlan to a join path over the instance samples.
+// Plan records and full-table evaluation keep its table names and join
+// attributes; the row oracles join it with relation.JoinPath or
+// sampling.ResampledJoinPath.
 func (tg *TargetGraph) JoinSteps() ([]relation.PathStep, error) {
 	hops, err := tg.JoinPlan()
 	if err != nil {

@@ -41,7 +41,7 @@ func (s *Searcher) BruteForce(ctx context.Context, req Request, limits BruteForc
 	if n > limits.MaxInstances {
 		return nil, fmt.Errorf("search: brute force refused for %d instances (max %d)", n, limits.MaxInstances)
 	}
-	if _, _, err := req.corrAttrs(); err != nil {
+	if _, _, err := req.CorrAttrs(); err != nil {
 		return nil, err
 	}
 

@@ -102,9 +102,9 @@ func (r Request) withDefaults() Request {
 	return r
 }
 
-// corrAttrs resolves the X and Y attribute sets for CORR (supporting the
+// CorrAttrs resolves the X and Y attribute sets for CORR (supporting the
 // source-less request form).
-func (r Request) corrAttrs() (x, y []string, err error) {
+func (r Request) CorrAttrs() (x, y []string, err error) {
 	if len(r.TargetAttrs) == 0 {
 		return nil, nil, fmt.Errorf("search: no target attributes")
 	}
@@ -331,12 +331,9 @@ func (s *Searcher) evaluate(ctx context.Context, tg *joingraph.TargetGraph, req 
 // evaluateUncached runs entirely on the columnar fast path: instance
 // samples are dictionary-encoded once per Searcher, build-side join indexes
 // are shared per (instance, join-attrs), the join never materializes rows,
-// and common path prefixes are reused through the prefix cache. The metrics
-// are bit-identical to joining the row samples with
-// sampling.ResampledJoinPath and calling infotheory.CorrelationOnRows and
-// fd.QualitySet (pinned by the columnar equivalence tests).
+// and common path prefixes are reused through the prefix cache.
 func (s *Searcher) evaluateUncached(ctx context.Context, tg *joingraph.TargetGraph, req Request, workers int) (Metrics, error) {
-	x, y, err := req.corrAttrs()
+	x, y, err := req.CorrAttrs()
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -356,29 +353,7 @@ func (s *Searcher) evaluateUncached(ctx context.Context, tg *joingraph.TargetGra
 	}
 	opts := req.samplingOptions()
 	opts.Workers = workers
-	j, _, err := sampling.ResampledJoinPathColumnar(steps, opts, s.caches.prefixes)
-	if err != nil {
-		return Metrics{}, err
-	}
-	m := Metrics{Weight: tg.Weight()}
-	m.Price, err = tg.Price(ctx)
-	if err != nil {
-		return Metrics{}, err
-	}
-	if j.NumRows() == 0 {
-		// Empty join sample: no correlation evidence, quality vacuous.
-		m.Correlation, m.Quality = 0, 0
-		return m, nil
-	}
-	m.Correlation, err = infotheory.CorrelationColumnar(j, x, y)
-	if err != nil {
-		return Metrics{}, err
-	}
-	m.Quality, err = fd.QualitySetColumnar(j, tg.FDs())
-	if err != nil {
-		return Metrics{}, err
-	}
-	return m, nil
+	return measure(ctx, tg, steps, opts, s.caches.prefixes, x, y)
 }
 
 // EvaluateOnTables computes *real* metrics of tg by joining the given full
@@ -386,44 +361,63 @@ func (s *Searcher) evaluateUncached(ctx context.Context, tg *joingraph.TargetGra
 // protocol of Sec 6 measures real correlation even for sample-based
 // searches. Prices remain marketplace quotes.
 func (s *Searcher) EvaluateOnTables(ctx context.Context, tg *joingraph.TargetGraph, req Request, tables map[string]*relation.Table) (Metrics, error) {
-	x, y, err := req.corrAttrs()
+	x, y, err := req.CorrAttrs()
 	if err != nil {
 		return Metrics{}, err
 	}
-	steps, err := tg.JoinSteps()
+	pathSteps, err := tg.JoinSteps()
 	if err != nil {
 		return Metrics{}, err
 	}
 	// Swap each sample for its full table.
-	full := make([]relation.PathStep, len(steps))
-	for i, st := range steps {
+	steps := make([]sampling.ColumnarStep, len(pathSteps))
+	for i, st := range pathSteps {
 		ft, ok := tables[st.Table.Name]
 		if !ok {
 			return Metrics{}, fmt.Errorf("search: no full table for instance %q", st.Table.Name)
 		}
-		full[i] = relation.PathStep{Table: ft, On: st.On}
+		steps[i] = sampling.ColumnarStep{C: relation.ToColumnar(ft), On: st.On}
 	}
-	j, err := relation.JoinPath(full)
+	return measure(ctx, tg, steps, sampling.PathJoinOptions{}, nil, x, y)
+}
+
+// measure joins steps and prices tg: the Metrics of tg over those tables.
+func measure(ctx context.Context, tg *joingraph.TargetGraph, steps []sampling.ColumnarStep, opts sampling.PathJoinOptions, cache sampling.PrefixCache, x, y []string) (Metrics, error) {
+	_, corr, quality, err := JoinMetrics(steps, opts, cache, x, y, tg.FDs())
 	if err != nil {
 		return Metrics{}, err
 	}
-	m := Metrics{Weight: tg.Weight()}
-	m.Price, err = tg.Price(ctx)
-	if err != nil {
-		return Metrics{}, err
-	}
-	if j.NumRows() == 0 {
-		return m, nil
-	}
-	m.Correlation, err = infotheory.Correlation(j, x, y)
-	if err != nil {
-		return Metrics{}, err
-	}
-	m.Quality, err = fd.QualitySet(j, tg.FDs())
-	if err != nil {
+	m := Metrics{Correlation: corr, Quality: quality, Weight: tg.Weight()}
+	if m.Price, err = tg.Price(ctx); err != nil {
 		return Metrics{}, err
 	}
 	return m, nil
+}
+
+// JoinMetrics joins steps left-to-right (sampling.ResampledJoinPathColumnar
+// under opts, reusing prefixes through cache when it is non-nil) and
+// measures CORR(x, y) and the FD quality Q of the join. An empty join
+// carries no correlation evidence and vacuous quality: it measures 0/0.
+// With zero opts and a nil cache this is the plain multi-way join of the
+// steps, so the same routine yields the sample estimates of the search and
+// the realized metrics of a purchase. The metrics are bit-identical to
+// joining the decoded tables with relation.JoinPath (or
+// sampling.ResampledJoinPath) and calling infotheory.CorrelationOnRows and
+// fd.QualitySet; the columnar equivalence tests pin that.
+func JoinMetrics(steps []sampling.ColumnarStep, opts sampling.PathJoinOptions, cache sampling.PrefixCache, x, y []string, fds []fd.FD) (j *relation.Columnar, corr, quality float64, err error) {
+	if j, _, err = sampling.ResampledJoinPathColumnar(steps, opts, cache); err != nil {
+		return nil, 0, 0, err
+	}
+	if j.NumRows() == 0 {
+		return j, 0, 0, nil
+	}
+	if corr, err = infotheory.CorrelationColumnar(j, x, y); err != nil {
+		return nil, 0, 0, err
+	}
+	if quality, err = fd.QualitySetColumnar(j, fds); err != nil {
+		return nil, 0, 0, err
+	}
+	return j, corr, quality, nil
 }
 
 // step1JitterTrials and step1JitterFactor diversify the Step 1 candidate

@@ -95,16 +95,16 @@ func TestMetricsFeasible(t *testing.T) {
 
 func TestCorrAttrsResolution(t *testing.T) {
 	r := Request{SourceAttrs: []string{"a"}, TargetAttrs: []string{"b"}}
-	x, y, err := r.corrAttrs()
+	x, y, err := r.CorrAttrs()
 	if err != nil || x[0] != "a" || y[0] != "b" {
-		t.Fatalf("corrAttrs = %v, %v, %v", x, y, err)
+		t.Fatalf("CorrAttrs = %v, %v, %v", x, y, err)
 	}
 	r = Request{TargetAttrs: []string{"p", "q", "r"}}
-	x, y, err = r.corrAttrs()
+	x, y, err = r.CorrAttrs()
 	if err != nil || x[0] != "p" || len(y) != 2 {
-		t.Fatalf("source-less corrAttrs = %v, %v, %v", x, y, err)
+		t.Fatalf("source-less CorrAttrs = %v, %v, %v", x, y, err)
 	}
-	if _, _, err := (Request{}).corrAttrs(); err == nil {
+	if _, _, err := (Request{}).CorrAttrs(); err == nil {
 		t.Fatal("no targets should error")
 	}
 }
